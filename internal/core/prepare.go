@@ -57,7 +57,13 @@ func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) 
 		ps = feature.NewProfiles(cfg.Extractor)
 	}
 	qVecs := feature.ExtractAllWith(ps, cfg.Extractor, questions)
-	dVecs := feature.ExtractAllWith(ps, cfg.Extractor, pool)
+	// A window that is its own demonstration pool (the pipeline passes
+	// pool = questions) reuses the question vectors: batching and
+	// selection only read them.
+	dVecs := qVecs
+	if len(pool) != len(questions) || &pool[0] != &questions[0] {
+		dVecs = feature.ExtractAllWith(ps, cfg.Extractor, pool)
+	}
 
 	batches := makeBatches(cfg, qVecs)
 	if err := checkPartition(batches, len(questions)); err != nil {

@@ -1,6 +1,9 @@
 package profile
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // The allocation-regression suite: the merge kernels must be zero-alloc
 // per comparison and profile construction must stay within a small
@@ -41,6 +44,22 @@ func TestLevenshteinAllocsSteadyState(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { LevenshteinStrings("iphone 13 pro", "iphone 14 pro max") }); n >= 1 {
 		t.Errorf("ASCII LevenshteinStrings: %.1f allocs per call, want 0", n)
+	}
+	// The 64-rune boundary: a shorter operand of 64 runes is the widest
+	// the bit-parallel path takes, one more rune falls back to the DP.
+	// Both sides of the boundary must stay allocation-free.
+	in := NewInterner()
+	bld := NewBuilder(in, 3)
+	long := bld.Build(strings.Repeat("apple iphone 13 pro max ", 4))
+	for _, n := range []int{64, 65} {
+		short := bld.Build(strings.Repeat("iphone 14 pro ", 5)[:n])
+		if short.RuneLen() != n {
+			t.Fatalf("boundary operand has %d runes, want %d", short.RuneLen(), n)
+		}
+		Levenshtein(long, short)
+		if a := testing.AllocsPerRun(200, func() { Levenshtein(long, short) }); a >= 1 {
+			t.Errorf("ASCII Levenshtein, %d-rune shorter operand: %.1f allocs per comparison, want 0", n, a)
+		}
 	}
 }
 

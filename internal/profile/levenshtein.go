@@ -2,10 +2,12 @@ package profile
 
 import "sync"
 
-// Pooled-scratch Levenshtein. The DP rows are recycled through a
-// sync.Pool so steady-state comparisons allocate nothing, with a size
-// cap so one pathological long string cannot pin a huge buffer in the
-// pool forever.
+// Levenshtein edit distance. ASCII operands whose shorter side has at
+// most 64 bytes run a bit-parallel kernel with its whole state on the
+// stack. Everything else runs the classic DP, whose rows are recycled
+// through a sync.Pool so steady-state comparisons allocate nothing, with
+// a size cap so one pathological long string cannot pin a huge buffer
+// in the pool forever.
 
 // maxLevScratch is the widest DP row (in cells) the pool will retain.
 // Wider rows are allocated fresh and dropped after use.
@@ -64,11 +66,13 @@ func viewOf(p *Profile) runeView {
 }
 
 // Levenshtein returns the edit distance between the profiled texts:
-// minimum single-rune insertions, deletions, substitutions. It runs in
-// O(len(a)*len(b)) time, O(min) pooled space, and allocates nothing in
-// steady state for ASCII inputs. Equal texts short-circuit to 0 — on
-// dirty-but-overlapping ER data many aligned attribute values match
-// exactly, and the O(n) equality check dodges their O(n^2) DP.
+// minimum single-rune insertions, deletions, substitutions. ASCII texts
+// whose shorter side has at most 64 bytes take O(len(a)+len(b)) time on
+// the bit-parallel path; other inputs take O(len(a)*len(b)) time and
+// O(min) pooled space. It allocates nothing in steady state for ASCII
+// inputs. Equal texts short-circuit to 0 — on dirty-but-overlapping ER
+// data many aligned attribute values match exactly, and the O(n)
+// equality check dodges the distance computation.
 func Levenshtein(a, b *Profile) int {
 	if a.text == b.text {
 		return 0
@@ -127,9 +131,11 @@ func stringView(s string) runeView {
 	return runeView{s: s, n: len(s)}
 }
 
-// levViews is the shared DP. It keeps the shorter operand as the row
-// dimension, exactly like the classic implementation, so results are
-// bit-identical.
+// levViews is the shared edit distance. It keeps the shorter operand as
+// the row dimension, exactly like the classic implementation. Two ASCII
+// operands whose shorter side fits one machine word take the
+// bit-parallel path; everything else runs the pooled DP. Both compute
+// the exact distance, so results are identical either way.
 func levViews(ra, rb runeView) int {
 	if ra.n == 0 {
 		return rb.n
@@ -141,6 +147,54 @@ func levViews(ra, rb runeView) int {
 	if rb.n > ra.n {
 		ra, rb = rb, ra
 	}
+	if rb.n <= 64 && ra.rs == nil && rb.rs == nil {
+		return levBitParallel(ra.s, rb.s)
+	}
+	return levDP(ra, rb)
+}
+
+// levBitParallel is Myers' bit-vector edit distance in Hyyrö's form for
+// global Levenshtein distance (Myers 1999, JACM 46(3); Hyyrö 2001). The
+// shorter ASCII operand p (1..64 bytes) is one column of the DP matrix
+// encoded as vertical +1/-1 delta bit vectors; each byte of the longer
+// operand t advances the whole column in O(1) word operations, and the
+// bottom cell's score is tracked through the horizontal deltas of the
+// last row. Bits above len(p) hold garbage that carries and shifts only
+// move upward, so they never reach the tracked bit.
+func levBitParallel(t, p string) int {
+	var peq [128]uint64
+	for i := 0; i < len(p); i++ {
+		peq[p[i]] |= 1 << uint(i)
+	}
+	last := uint64(1) << uint(len(p)-1)
+	pv, mv := ^uint64(0), uint64(0)
+	score := len(p)
+	for i := 0; i < len(t); i++ {
+		eq := peq[t[i]]
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
+		}
+		// The top DP row is 0, 1, 2, …: every horizontal delta entering
+		// the column from above is +1, hence the shifted-in 1 bit.
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return score
+}
+
+// levDP is the classic two-row DP over pooled scratch; rb is the
+// shorter operand. It covers non-ASCII operands and operands too long
+// for one machine word, and is the oracle the bit-parallel path is
+// tested against.
+func levDP(ra, rb runeView) int {
 	scratch, prev, cur := getLevRows(rb.n + 1)
 	for j := range prev {
 		prev[j] = int32(j)

@@ -10,7 +10,10 @@
 // ratios: all methods are billed with the same meter.
 package tokens
 
-import "unicode"
+import (
+	"unicode"
+	"unicode/utf8"
+)
 
 // Counter segments text into subword tokens and counts them. The zero
 // value is not usable; construct with NewCounter.
@@ -65,8 +68,28 @@ var shared = NewCounter()
 // vocabulary. It is safe for concurrent use.
 func Count(s string) int { return shared.Count(s) }
 
-// Count returns the number of subword tokens in s.
-func (c *Counter) Count(s string) int { return len(c.Split(s)) }
+// Count returns the number of subword tokens in s: len(c.Split(s)),
+// computed without building the pieces. Words up to 64 bytes are
+// lowercased into a stack buffer and vocabulary lookups index the map
+// with that buffer directly, so counting allocates nothing.
+func (c *Counter) Count(s string) int {
+	var arr [64]byte
+	buf := arr[:0]
+	sc := scanner{s: s}
+	n := 0
+	for {
+		kind, w := sc.next(buf[:0])
+		switch kind {
+		case endOfText:
+			return n
+		case wordTok:
+			n += c.countWord(w)
+			buf = w
+		default:
+			n++
+		}
+	}
+}
 
 // Split segments s into subword tokens. Words are segmented by greedy
 // longest-match against the vocabulary with single-character fallback
@@ -75,79 +98,131 @@ func (c *Counter) Count(s string) int { return len(c.Split(s)) }
 // one token per character). Punctuation and digits group into small runs.
 func (c *Counter) Split(s string) []string {
 	var out []string
-	var word []rune
-	flush := func() {
-		if len(word) > 0 {
-			out = append(out, c.splitWord(string(word))...)
-			word = word[:0]
-		}
-	}
-	runLen := 0
-	var runKind int // 0 none, 1 digit, 2 punct
-	flushRun := func() { runLen, runKind = 0, 0 }
-	for _, r := range s {
-		switch {
-		case unicode.IsLetter(r):
-			flushRun()
-			word = append(word, unicode.ToLower(r))
-		case unicode.IsDigit(r):
-			flush()
-			// Digits group in runs of up to 3 per token, like GPT BPE.
-			if runKind != 1 || runLen == 3 {
-				out = append(out, "<num>")
-				runKind, runLen = 1, 0
-			}
-			runLen++
-		case unicode.IsSpace(r):
-			flush()
-			flushRun()
-		default:
-			flush()
-			// Punctuation: each run of identical class counts once per
-			// two characters.
-			if runKind != 2 || runLen == 2 {
-				out = append(out, "<punct>")
-				runKind, runLen = 2, 0
-			}
-			runLen++
-		}
-	}
-	flush()
-	return out
-}
-
-// splitWord greedily segments a lowercase word against the vocabulary.
-func (c *Counter) splitWord(w string) []string {
-	if len(w) <= 4 || c.vocab[w] {
-		return []string{w}
-	}
-	var pieces []string
-	i := 0
-	for i < len(w) {
-		matched := ""
-		maxLen := len(w) - i
-		if maxLen > c.maxPiece {
-			maxLen = c.maxPiece
-		}
-		for l := maxLen; l >= 2; l-- {
-			if c.vocab[w[i:i+l]] {
-				matched = w[i : i+l]
+	var buf []byte
+	sc := scanner{s: s}
+	for {
+		kind, w := sc.next(buf[:0])
+		switch kind {
+		case endOfText:
+			return out
+		case wordTok:
+			buf = w
+			if c.wholeWord(w) {
+				out = append(out, string(w))
 				break
 			}
-		}
-		if matched == "" {
-			// Fallback: take a chunk of up to 5 characters, emulating BPE
-			// byte-fallback grouping rather than per-character explosion.
-			l := 5
-			if l > len(w)-i {
-				l = len(w) - i
+			for i := 0; i < len(w); {
+				l := c.pieceLen(w[i:])
+				out = append(out, string(w[i:i+l]))
+				i += l
 			}
-			matched = w[i : i+l]
+		case numTok:
+			out = append(out, "<num>")
+		case punctTok:
+			out = append(out, "<punct>")
 		}
-		pieces = append(pieces, matched)
-		i += len(matched)
 	}
-	return pieces
+}
+
+// tokenKind classifies what scanner.next found.
+type tokenKind uint8
+
+const (
+	endOfText tokenKind = iota
+	wordTok             // a run of letters, lowercased
+	numTok              // the start of a group of up to 3 digits
+	punctTok            // the start of a group of up to 2 other characters
+)
+
+// scanner holds the segmentation rules shared by Split and Count.
+// Letters join a word; digits group in runs of up to 3 per token, like
+// GPT BPE; whitespace separates; any other rune is punctuation, counted
+// once per two characters of a run. A letter or whitespace ends the
+// current digit or punctuation run.
+type scanner struct {
+	s               string
+	runKind, runLen int // runKind: 0 none, 1 digit, 2 punct
+}
+
+// next consumes input up to the next token and returns its kind. For a
+// wordTok, the word is appended to buf in lowercase UTF-8 (exactly as
+// string([]rune) encodes the lowered runes) and returned; otherwise buf
+// is returned unchanged.
+func (sc *scanner) next(buf []byte) (tokenKind, []byte) {
+	for len(sc.s) > 0 {
+		r, size := rune(sc.s[0]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(sc.s)
+		}
+		if unicode.IsLetter(r) {
+			sc.runKind, sc.runLen = 0, 0
+			if r < utf8.RuneSelf {
+				buf = append(buf, byte(r)|0x20) // ASCII letters lowercase by one bit
+			} else {
+				buf = utf8.AppendRune(buf, unicode.ToLower(r))
+			}
+			sc.s = sc.s[size:]
+			continue
+		}
+		if len(buf) > 0 {
+			// The word ends here; this rune is scanned by the next call.
+			return wordTok, buf
+		}
+		sc.s = sc.s[size:]
+		switch {
+		case unicode.IsDigit(r):
+			if sc.runKind != 1 || sc.runLen == 3 {
+				sc.runKind, sc.runLen = 1, 1
+				return numTok, buf
+			}
+			sc.runLen++
+		case unicode.IsSpace(r):
+			sc.runKind, sc.runLen = 0, 0
+		default:
+			if sc.runKind != 2 || sc.runLen == 2 {
+				sc.runKind, sc.runLen = 2, 1
+				return punctTok, buf
+			}
+			sc.runLen++
+		}
+	}
+	if len(buf) > 0 {
+		return wordTok, buf
+	}
+	return endOfText, buf
+}
+
+// countWord returns how many pieces Split yields for the lowercase
+// word w.
+func (c *Counter) countWord(w []byte) int {
+	if c.wholeWord(w) {
+		return 1
+	}
+	n := 0
+	for i := 0; i < len(w); i += c.pieceLen(w[i:]) {
+		n++
+	}
+	return n
+}
+
+// wholeWord reports whether the lowercase word w is a single token:
+// short words and vocabulary words are.
+func (c *Counter) wholeWord(w []byte) bool {
+	return len(w) <= 4 || c.vocab[string(w)]
+}
+
+// pieceLen returns the byte length of the greedy piece at the start of
+// the non-empty rest of a word: the longest vocabulary entry of at
+// least two bytes, or else a chunk of up to 5 bytes, emulating BPE
+// byte-fallback grouping rather than per-character explosion.
+func (c *Counter) pieceLen(rest []byte) int {
+	maxLen := min(len(rest), c.maxPiece)
+	for l := maxLen; l >= 2; l-- {
+		if c.vocab[string(rest[:l])] {
+			return l
+		}
+	}
+	return min(5, len(rest))
 }
 
 // EstimateWords returns an approximate token count from a word count using

@@ -1,6 +1,7 @@
 package tokens
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -111,6 +112,65 @@ func TestEstimateWords(t *testing.T) {
 	}
 	if got := EstimateWords(0); got != 0 {
 		t.Errorf("EstimateWords(0) = %d, want 0", got)
+	}
+}
+
+// Split's pieces are pinned, so the meter's segmentation cannot drift:
+// letters lowercase (İ to one-byte i), digits group by three, other
+// runes by two, and greedy pieces are byte slices of the lowered word,
+// even where that cuts a multi-byte rune.
+func TestSplitPinned(t *testing.T) {
+	c := NewCounter()
+	for s, want := range map[string][]string{
+		"İSTANBUL Σίσυφος café": {"is", "tanbu", "l", "σί\xcf", "\x83υφ", "ος", "café"},
+		"Apple iPhone13, 1234567 ...!? deduplications": {"apple", "iphon", "e", "<num>", "<punct>",
+			"<num>", "<num>", "<num>", "<punct>", "<punct>", "<punct>", "deduplication", "s"},
+		"unconventionalxyz rexyz": {"un", "con", "ve", "nt", "ion", "al", "xyz", "re", "xyz"},
+	} {
+		if got := c.Split(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("Split(%q) = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// FuzzCountMatchesSplit checks that counting without building pieces
+// agrees with Split on arbitrary text. The seeds cover invalid UTF-8,
+// letters whose lowercase form has a different UTF-8 length (İ lowers
+// to i) or form (Σ), and words longer than Count's 64-byte stack
+// buffer.
+func FuzzCountMatchesSplit(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"title: Apple iPhone 13 Pro Max 256GB graphite, price: 1099.00",
+		"\xff\xfe\xfdabc\xc3",
+		"İSTANBUL İİİİİ",
+		"ΣΊΣΥΦΟΣ σίσυφος",
+		strings.Repeat("deduplication", 6),
+		strings.Repeat("İ", 40) + "tion",
+		strings.Repeat("zxq", 30) + " ok",
+		"１２３４ ٣٤٥ ab...,,!!",
+	} {
+		f.Add(s)
+	}
+	c := NewCounter()
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := c.Count(s), len(c.Split(s)); got != want {
+			t.Fatalf("Count(%q) = %d, len(Split) = %d", s, got, want)
+		}
+	})
+}
+
+// Count is the meter on every billed prompt; it must not allocate,
+// whatever the prompt's words, digits or punctuation.
+func TestCountAllocsZero(t *testing.T) {
+	var b strings.Builder
+	for b.Len() < 1024 {
+		b.WriteString("Question 3: title: Apple iPhone 13 Pro Max 256GB graphite, price: 1099.00 [SEP] ")
+		b.WriteString("title: iPhone 13 Pro (Renewed) café crème, brand: APPLE INC. ")
+	}
+	prompt := b.String()
+	if n := testing.AllocsPerRun(100, func() { Count(prompt) }); n != 0 {
+		t.Errorf("Count on a %d-byte prompt: %.1f allocs per call, want 0", len(prompt), n)
 	}
 }
 
